@@ -20,13 +20,13 @@ vet:
 	! $(GO) run ./cmd/carsvet -race examples/vetdemo/racy.carsasm
 	$(GO) run ./cmd/carsvet internal/spec/testdata/workloads
 
-# Repo-custom analyzers (internal/lint): the five legacy syntax
-# checks over the simulator hot paths plus the carsguard suite —
-# whole-module concurrency/resource-safety analysis of the serving
-# layer (ctxflow, goleak, lockheld, atomicmix, metriclabels; DESIGN.md
-# §13). The selftest holds every guard analyzer to its
-# planted-violation fixture first: like the racy vet demo, the plants
-# must keep FAILING, or the analyzers have lost their teeth.
+# Repo-custom analyzers (internal/lint): one framework, ten type-aware
+# checks over the loaded module — five simulator-invariant checks, each
+# over the packages it defends, and the carsguard concurrency and
+# resource-safety checks of the serving layer (DESIGN.md §13). The
+# selftest holds every analyzer to its planted-violation fixture
+# first: like the racy vet demo, the plants must keep FAILING, or the
+# analyzers have lost their teeth.
 lint:
 	$(GO) run ./cmd/carslint -selftest
 	$(GO) run ./cmd/carslint

@@ -34,7 +34,6 @@ import (
 func main() {
 	runIDs := flag.String("run", "", "comma-separated experiment ids (default: all)")
 	parallel := flag.Int("parallel", runtime.NumCPU(), "worker-pool size bounding concurrent simulations")
-	workers := flag.Int("workers", 0, "deprecated alias for -parallel")
 	timeout := flag.Duration("timeout", 0, "kill the whole regeneration after this long (0 = no limit)")
 	md := flag.Bool("md", false, "emit markdown instead of aligned text")
 	chart := flag.Bool("chart", false, "append an ASCII bar chart per experiment")
@@ -59,11 +58,7 @@ func main() {
 		return
 	}
 
-	n := *parallel
-	if *workers > 0 {
-		n = *workers
-	}
-	r := experiments.NewRunner(n)
+	r := experiments.NewRunner(*parallel)
 	if *verbose {
 		r.Log = os.Stderr
 	}

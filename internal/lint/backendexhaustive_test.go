@@ -1,130 +1,16 @@
 package lint
 
-import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
-
-func runBackendSrc(t *testing.T, src string) []Diagnostic {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "x.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diags, err := RunFiles(BackendExhaustive, []string{path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return diags
-}
+import "testing"
 
 func TestBackendExhaustive(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want int
-	}{
-		{
-			name: "missing case without default flagged",
-			src: "package p\nfunc f(b int) {\n\tswitch b {\n" +
-				"\tcase BackendCARS:\n\tcase BackendSmemSpill:\n\t}\n}\n",
-			want: 1,
-		},
-		{
-			name: "all cases clean",
-			src: "package p\nfunc f(b int) {\n\tswitch b {\n" +
-				"\tcase BackendCARS:\n\tcase BackendSmemSpill:\n\tcase BackendRFCache:\n\t}\n}\n",
-			want: 0,
-		},
-		{
-			name: "subset with default clean",
-			src: "package p\nfunc f(b int) {\n\tswitch b {\n" +
-				"\tcase BackendCARS:\n\tdefault:\n\t}\n}\n",
-			want: 0,
-		},
-		{
-			name: "qualified constants flagged",
-			src: "package p\nimport \"carsgo/internal/cars\"\nfunc f(b cars.Backend) {\n\tswitch b {\n" +
-				"\tcase cars.BackendRFCache:\n\t}\n}\n",
-			want: 1,
-		},
-		{
-			name: "multi-constant case counts each",
-			src: "package p\nfunc f(b int) {\n\tswitch b {\n" +
-				"\tcase BackendCARS, BackendSmemSpill, BackendRFCache:\n\t}\n}\n",
-			want: 0,
-		},
-		{
-			name: "unrelated switch clean",
-			src:  "package p\nfunc f(b int) {\n\tswitch b {\n\tcase 1:\n\tcase 2:\n\t}\n}\n",
-			want: 0,
-		},
-		{
-			name: "nested backend switch flagged",
-			src: "package p\nfunc f(a, b int) {\n\tswitch a {\n\tcase 1:\n" +
-				"\t\tswitch b {\n\t\tcase BackendSmemSpill:\n\t\t}\n\t}\n}\n",
-			want: 1,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			diags := runBackendSrc(t, tc.src)
-			if len(diags) != tc.want {
-				t.Fatalf("got %d findings, want %d: %v", len(diags), tc.want, diags)
-			}
-			for _, d := range diags {
-				if !strings.Contains(d.Message, "cars.Backend") {
-					t.Errorf("finding does not name the enum: %s", d.Message)
-				}
-			}
-		})
-	}
-}
-
-// TestBackendConstSetCurrent locks the analyzer's constant table to
-// the cars.Backend declaration block: growing the enum without
-// teaching the analyzer (or vice versa) is a failure here.
-func TestBackendConstSetCurrent(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filepath.Join("..", "cars", "backend.go"), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	declared := map[string]bool{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		gd, ok := n.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST {
-			return true
-		}
-		for _, s := range gd.Specs {
-			vs, ok := s.(*ast.ValueSpec)
-			if !ok {
-				continue
-			}
-			for _, name := range vs.Names {
-				if strings.HasPrefix(name.Name, "Backend") {
-					declared[name.Name] = true
-				}
-			}
-		}
-		return true
+	runCases(t, BackendExhaustive, []fixtureCase{
+		{"missing case without default flagged", []string{"missingCase"}, 1},
+		{"all cases clean", []string{"allCases"}, 0},
+		{"subset with default clean", []string{"subsetWithDefault"}, 0},
+		{"qualified constants flagged", []string{"qualifiedConstants"}, 1},
+		{"multi-constant case counts each", []string{"multiConstantCase"}, 0},
+		{"unrelated switch clean", []string{"unrelatedSwitch"}, 0},
+		{"nested backend switch flagged", []string{"nestedSwitch"}, 1},
+		{"local constant named like a backend clean", []string{"localNamesake"}, 0},
 	})
-	if len(declared) == 0 {
-		t.Fatal("no Backend constants found in internal/cars/backend.go")
-	}
-	for name := range declared {
-		if !backendConsts[name] {
-			t.Errorf("cars constant %s missing from backendConsts", name)
-		}
-	}
-	for name := range backendConsts {
-		if !declared[name] {
-			t.Errorf("backendConsts lists %s which internal/cars no longer declares", name)
-		}
-	}
 }

@@ -1,31 +1,28 @@
-// Package lint hosts the repo's custom static checks for the
-// simulator's Go sources, shaped after golang.org/x/tools/go/analysis
-// (Analyzer / Pass / Diagnostic) but built purely on the standard
-// library's go/ast and go/parser so the module stays dependency-free.
+// Package lint hosts the repo's custom static checks for its own Go
+// sources, shaped after golang.org/x/tools/go/analysis (Analyzer /
+// Pass / Diagnostic) but built purely on the standard library's
+// go/parser and go/types so the module stays dependency-free.
 //
-// The one analyzer today is NoNakedPanic: the simulator's hot paths
-// (internal/sim, internal/cars) must not abort the process with a
-// bare panic. Functional-execution faults are required to flow
-// through (*SM).execFault, which panics a structured *ExecError that
-// GPU.Run recovers into an error return. Two shapes are therefore
-// allowed:
-//
-//   - any panic inside a function declaration named execFault
-//     (the single sanctioned throw site), and
-//   - re-panicking a recovered value — panic(r) where r was assigned
-//     from recover() in the same function — which preserves real
-//     simulator bugs' stack traces.
-//
-// Everything else is a finding. Test files are exempt.
+// Every analyzer runs once over a type-checked Module with shared
+// call-graph Facts, and resolves what it checks through types.Info
+// rather than by name. Analyzers lists the ten checks in reporting
+// order: five that guard the simulator's invariants (nonakedpanic,
+// uncheckedsimerror, unusedmonitorhook, seededrand,
+// backendexhaustive), each over the packages named in its Pkgs, and
+// five whole-module concurrency and resource-safety checks over the
+// serving layer (ctxflow, goleak, lockheld, atomicmix, metriclabels;
+// DESIGN.md §13). Each ships with a planted-violation fixture under
+// internal/lint/testdata/src/<name> that SelfTest holds it to. Test
+// files are never loaded, so they are exempt from every check.
 package lint
 
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
-	"os"
+	"go/types"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -40,129 +37,53 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message)
 }
 
-// Pass carries one analysis unit — a parsed set of files sharing a
-// FileSet — to an Analyzer's Run, mirroring analysis.Pass.
-type Pass struct {
-	Fset   *token.FileSet
-	Files  []*ast.File
-	Report func(Diagnostic)
-}
-
 // Analyzer describes one static check, mirroring analysis.Analyzer.
 type Analyzer struct {
 	Name string
 	Doc  string
+	// Pkgs lists the module-relative package directories whose
+	// findings Run reports ("internal/sim"); nil means the whole
+	// module. A selftest fixture is always in scope.
+	Pkgs []string
 	Run  func(*Pass) error
 }
 
-// NoNakedPanic forbids bare panics on the simulator's hot paths; see
-// the package comment for the two allowed shapes.
-var NoNakedPanic = &Analyzer{
-	Name: "nonakedpanic",
-	Doc:  "forbid naked panic() on simulator hot paths; faults must use execFault or re-panic a recovered value",
-	Run:  runNoNakedPanic,
+// Pass carries one analysis run: the loaded module, the shared facts,
+// and the diagnostic sink.
+type Pass struct {
+	Mod    *Module
+	Facts  *Facts
+	Report func(Diagnostic)
 }
 
-// funcCtx is one lexical function (declaration or literal) on the
-// walk stack, with the identifiers it assigned from recover().
-type funcCtx struct {
-	declName   string
-	recoverIDs map[*ast.Object]bool
+// Analyzers lists every check in reporting order.
+var Analyzers = []*Analyzer{
+	NoNakedPanic, UncheckedSimError, UnusedMonitorHook, SeededRand, BackendExhaustive,
+	CtxFlow, GoLeak, LockHeld, AtomicMix, MetricLabels,
 }
 
-func runNoNakedPanic(pass *Pass) error {
-	for _, file := range pass.Files {
-		var stack []*funcCtx
-		var walk func(n ast.Node) bool
-		walk = func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				stack = append(stack, &funcCtx{declName: n.Name.Name, recoverIDs: map[*ast.Object]bool{}})
-				if n.Body != nil {
-					ast.Inspect(n.Body, walk)
-				}
-				stack = stack[:len(stack)-1]
-				return false
-			case *ast.FuncLit:
-				stack = append(stack, &funcCtx{recoverIDs: map[*ast.Object]bool{}})
-				ast.Inspect(n.Body, walk)
-				stack = stack[:len(stack)-1]
-				return false
-			case *ast.AssignStmt:
-				// r := recover() / r = recover()
-				if len(n.Rhs) == 1 && isCallTo(n.Rhs[0], "recover") && len(stack) > 0 {
-					top := stack[len(stack)-1]
-					for _, lhs := range n.Lhs {
-						if id, ok := lhs.(*ast.Ident); ok && id.Obj != nil {
-							top.recoverIDs[id.Obj] = true
-						}
-					}
-				}
-			case *ast.CallExpr:
-				if !isIdentCall(n, "panic") {
-					return true
-				}
-				if allowedPanic(n, stack) {
-					return true
-				}
-				pass.Report(Diagnostic{
-					Pos:     pass.Fset.Position(n.Pos()),
-					Message: "naked panic on a hot path: fault through execFault (or re-panic a recovered value)",
-				})
-			}
-			return true
-		}
-		ast.Inspect(file, walk)
+// Run applies a to a loaded module with prebuilt facts, returning its
+// position-sorted findings in the packages a defends.
+func Run(a *Analyzer, m *Module, facts *Facts) ([]Diagnostic, error) {
+	diags, err := run(a, m, facts)
+	if err != nil || a.Pkgs == nil {
+		return diags, err
 	}
-	return nil
-}
-
-// allowedPanic implements the two sanctioned shapes, searching the
-// enclosing functions innermost-first.
-func allowedPanic(call *ast.CallExpr, stack []*funcCtx) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		if stack[i].declName == "execFault" {
-			return true
+	var out []Diagnostic
+	for _, d := range diags {
+		rel, err := filepath.Rel(m.Root, filepath.Dir(d.Pos.Filename))
+		if err == nil && slices.Contains(a.Pkgs, filepath.ToSlash(rel)) {
+			out = append(out, d)
 		}
 	}
-	if len(call.Args) == 1 {
-		if id, ok := call.Args[0].(*ast.Ident); ok && id.Obj != nil {
-			for i := len(stack) - 1; i >= 0; i-- {
-				if stack[i].recoverIDs[id.Obj] {
-					return true
-				}
-			}
-		}
-	}
-	return false
+	return out, nil
 }
 
-func isIdentCall(call *ast.CallExpr, name string) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	return ok && id.Name == name
-}
-
-func isCallTo(e ast.Expr, name string) bool {
-	call, ok := e.(*ast.CallExpr)
-	return ok && isIdentCall(call, name)
-}
-
-// RunFiles parses the given Go sources and applies the analyzer.
-func RunFiles(a *Analyzer, paths []string) ([]Diagnostic, error) {
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, p := range paths {
-		// Comments ride along for the monitor-hook analyzer's
-		// documented-no-op allowance; object resolution stays on for
-		// the recover-ident allowance's ast.Object identities.
-		f, err := parser.ParseFile(fset, p, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
+// run applies a to every package of m, unscoped.
+func run(a *Analyzer, m *Module, facts *Facts) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	pass := &Pass{Fset: fset, Files: files, Report: func(d Diagnostic) { diags = append(diags, d) }}
+	pass := &Pass{Mod: m, Facts: facts,
+		Report: func(d Diagnostic) { diags = append(diags, d) }}
 	if err := a.Run(pass); err != nil {
 		return nil, err
 	}
@@ -176,19 +97,145 @@ func RunFiles(a *Analyzer, paths []string) ([]Diagnostic, error) {
 	return diags, nil
 }
 
-// RunDir applies the analyzer to every non-test Go file in dir.
-func RunDir(a *Analyzer, dir string) ([]Diagnostic, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
+// report is the analyzers' shared diagnostic constructor.
+func (p *Pass) report(pos token.Pos, format string, args ...any) {
+	p.Report(Diagnostic{Pos: p.Mod.Fset.Position(pos), Message: fmt.Sprintf(format, args...)})
+}
+
+// FilterDirs filters a diagnostic set to files under any of the given
+// directories (carslint's positional-argument mode); an empty dir list
+// keeps everything.
+func FilterDirs(diags []Diagnostic, dirs []string) []Diagnostic {
+	if len(dirs) == 0 {
+		return diags
 	}
-	var paths []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+	var out []Diagnostic
+	for _, d := range diags {
+		for _, dir := range dirs {
+			abs, err := filepath.Abs(dir)
+			if err != nil {
+				continue
+			}
+			if fabs, err := filepath.Abs(d.Pos.Filename); err == nil {
+				if rel, err := filepath.Rel(abs, fabs); err == nil && !strings.HasPrefix(rel, "..") {
+					out = append(out, d)
+					break
+				}
+			}
+		}
+	}
+	return out
+}
+
+// ---- shared syntax helpers -------------------------------------------------
+
+// selectHasDefault reports a select with a default clause.
+func selectHasDefault(sel *ast.SelectStmt) bool {
+	for _, c := range sel.Body.List {
+		if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
+			return true
+		}
+	}
+	return false
+}
+
+// selectCancellable reports a select with a cancellation-shaped case:
+// a receive whose channel expression contains a call to a method
+// named Done (ctx.Done(), task.Done()) or an identifier spelled like
+// a done channel (done, stop, quit, closed, sigc — a signal channel
+// is a process-lifetime cancellation source).
+func selectCancellable(sel *ast.SelectStmt) bool {
+	for _, c := range sel.Body.List {
+		cc, ok := c.(*ast.CommClause)
+		if !ok || cc.Comm == nil {
 			continue
 		}
-		paths = append(paths, filepath.Join(dir, name))
+		var recv ast.Expr
+		switch s := cc.Comm.(type) {
+		case *ast.ExprStmt:
+			if u, ok := s.X.(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+				recv = u.X
+			}
+		case *ast.AssignStmt:
+			if len(s.Rhs) == 1 {
+				if u, ok := s.Rhs[0].(*ast.UnaryExpr); ok && u.Op == token.ARROW {
+					recv = u.X
+				}
+			}
+		}
+		if recv != nil && cancellationShaped(recv) {
+			return true
+		}
 	}
-	return RunFiles(a, paths)
+	return false
+}
+
+// cancellationShaped matches channel expressions that exist to signal
+// cancellation or completion.
+func cancellationShaped(e ast.Expr) bool {
+	found := false
+	ast.Inspect(e, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if n.Sel.Name == "Done" {
+				found = true
+			}
+		case *ast.Ident:
+			switch strings.ToLower(n.Name) {
+			case "done", "stop", "quit", "closed", "sigc", "errc":
+				found = true
+			}
+		}
+		return !found
+	})
+	return found
+}
+
+// calleePkgPath returns the callee's defining package path ("" when
+// unresolvable or builtin).
+func calleePkgPath(info *types.Info, call *ast.CallExpr) string {
+	callee := CalleeOf(info, call)
+	if callee == nil || callee.Pkg() == nil {
+		return ""
+	}
+	return callee.Pkg().Path()
+}
+
+// isChanType reports whether t is (or points at) a channel.
+func isChanType(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, ok := t.Underlying().(*types.Chan)
+	return ok
+}
+
+// isWaitGroupMethod reports a method of *sync.WaitGroup.
+func isWaitGroupMethod(f *types.Func) bool {
+	sig, ok := f.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok {
+		return false
+	}
+	obj := named.Obj()
+	return obj.Name() == "WaitGroup" && obj.Pkg() != nil && obj.Pkg().Path() == "sync"
+}
+
+// usedObject resolves an identifier or qualified identifier (x, pkg.x)
+// to the object it uses, or nil.
+func usedObject(info *types.Info, e ast.Expr) types.Object {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return info.Uses[e]
+	case *ast.SelectorExpr:
+		return info.Uses[e.Sel]
+	}
+	return nil
 }

@@ -1,116 +1,192 @@
 package lint
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// runSrc writes one source file and applies NoNakedPanic to it.
-func runSrc(t *testing.T, src string) []Diagnostic {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "x.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
+// TestSelfTest holds every analyzer to its planted-violation fixture:
+// all plants fire, nothing else does. This is the same contract
+// `carslint -selftest` enforces in CI.
+func TestSelfTest(t *testing.T) {
+	results, err := SelfTest("../..")
+	if err != nil {
+		t.Fatalf("selftest: %v", err)
 	}
-	diags, err := RunFiles(NoNakedPanic, []string{path})
+	if len(results) != len(Analyzers) {
+		t.Fatalf("selftest covered %d analyzers, want %d", len(results), len(Analyzers))
+	}
+	for _, r := range results {
+		if r.Wanted == 0 {
+			t.Errorf("%s: fixture has no planted violations", r.Analyzer)
+		}
+		for _, m := range r.Missing {
+			t.Errorf("%s: planted violation did not fire: %s", r.Analyzer, m)
+		}
+		for _, u := range r.Unexpected {
+			t.Errorf("%s: unexpected diagnostic (false positive on a clean twin): %s", r.Analyzer, u)
+		}
+	}
+}
+
+// loadTree loads the real module once for every test that needs it.
+var loadTree = sync.OnceValues(func() (*Module, error) { return LoadModule("../..") })
+
+// TestAnalyzersCleanOnTree runs all ten analyzers over the real
+// module, each scoped to its packages: the tree must stay clean, so
+// any finding here is a regression (or a new bug the analyzer just
+// caught — fix the code, not the test).
+func TestAnalyzersCleanOnTree(t *testing.T) {
+	mod, err := loadTree()
+	if err != nil {
+		t.Fatalf("load module: %v", err)
+	}
+	facts := BuildFacts(mod)
+	for _, a := range Analyzers {
+		diags, err := Run(a, mod, facts)
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+		for _, d := range diags {
+			t.Errorf("%s: %s", a.Name, d)
+		}
+	}
+}
+
+// TestFactsServeRoots pins the root set the reachability rules hang
+// off: the HTTP handlers and the daemon entry point must be roots.
+func TestFactsServeRoots(t *testing.T) {
+	mod, err := loadTree()
+	if err != nil {
+		t.Fatalf("load module: %v", err)
+	}
+	roots := BuildFacts(mod).ServeRoots()
+	rootSet := map[string]bool{}
+	for _, r := range roots {
+		rootSet[r] = true
+	}
+	for _, want := range []string{
+		"(*carsgo/internal/serve.Server).handleSimulate",
+		"(*carsgo/internal/serve.Server).handleJobSubmit",
+	} {
+		if !rootSet[want] {
+			t.Errorf("serve root missing: %s", want)
+		}
+	}
+	hasMain := false
+	for r := range rootSet {
+		if strings.Contains(r, "cmd/carsd") {
+			hasMain = true
+		}
+	}
+	if !hasMain {
+		t.Errorf("no cmd/carsd function in serve roots")
+	}
+}
+
+// fixtureCase is one case of an analyzer's fixture: the declarations
+// it spans (functions, or methods as "Type.Method") and how many
+// findings the analyzer must report inside them.
+type fixtureCase struct {
+	name  string
+	decls []string
+	want  int
+}
+
+// declSpan is one fixture declaration's file and line range.
+type declSpan struct {
+	file       string
+	start, end int
+}
+
+// runCases checks each case against the analyzer's fixture: exactly
+// want findings inside the case's declarations, and exactly want
+// `// want` markers planted there (TestSelfTest matches the two
+// line by line). Declarations in _test.go files count, so a case can
+// pin that test files are never analyzed.
+func runCases(t *testing.T, a *Analyzer, cases []fixtureCase) {
+	t.Helper()
+	dir, diags, err := runFixture("../..", a)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return diags
-}
-
-func TestNoNakedPanic(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want int
-	}{
-		{
-			name: "naked panic flagged",
-			src:  "package p\nfunc f() { panic(\"boom\") }\n",
-			want: 1,
-		},
-		{
-			name: "execFault throw site allowed",
-			src:  "package p\nfunc execFault() { panic(42) }\n",
-			want: 0,
-		},
-		{
-			name: "closure inside execFault allowed",
-			src:  "package p\nfunc execFault() { func() { panic(1) }() }\n",
-			want: 0,
-		},
-		{
-			name: "re-panic of recovered value allowed",
-			src:  "package p\nfunc f() { defer func() { if r := recover(); r != nil { panic(r) } }() }\n",
-			want: 0,
-		},
-		{
-			name: "re-panic allowed across nested literal",
-			src:  "package p\nfunc f() { r := recover(); func() { panic(r) }() }\n",
-			want: 0,
-		},
-		{
-			name: "panic of non-recovered ident flagged",
-			src:  "package p\nfunc f() { r := 3; panic(r) }\n",
-			want: 1,
-		},
-		{
-			name: "recover in another function does not license",
-			src:  "package p\nfunc g() interface{} { return recover() }\nfunc f(r interface{}) { panic(r) }\n",
-			want: 1,
-		},
-		{
-			name: "two naked panics two findings",
-			src:  "package p\nfunc f() { panic(1) }\nfunc g() { panic(2) }\n",
-			want: 2,
-		},
+	wants, err := parseWants(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, err := fixtureDecls(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := func(s declSpan, file string, line int) bool {
+		return filepath.Base(file) == s.file && line >= s.start && line <= s.end
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			diags := runSrc(t, tc.src)
-			if len(diags) != tc.want {
-				t.Errorf("got %d findings, want %d: %v", len(diags), tc.want, diags)
-			}
-			for _, d := range diags {
-				if !strings.Contains(d.String(), "naked panic") {
-					t.Errorf("diagnostic text unexpected: %s", d)
+			var got []string
+			planted := 0
+			for _, name := range tc.decls {
+				s, ok := spans[name]
+				if !ok {
+					t.Fatalf("fixture %s declares no %s", dir, name)
 				}
+				for _, d := range diags {
+					if in(s, d.Pos.Filename, d.Pos.Line) {
+						got = append(got, d.String())
+					}
+				}
+				for _, w := range wants {
+					if in(s, w.file, w.line) {
+						planted++
+					}
+				}
+			}
+			if len(got) != tc.want || planted != tc.want {
+				t.Errorf("%d findings and %d plants in %v, want %d of each:\n%s",
+					len(got), planted, tc.decls, tc.want, strings.Join(got, "\n"))
 			}
 		})
 	}
 }
 
-// TestRunDirSkipsTests: _test.go files may panic freely.
-func TestRunDirSkipsTests(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "a.go"), []byte("package p\nfunc f() {}\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "a_test.go"), []byte("package p\nfunc g() { panic(1) }\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diags, err := RunDir(NoNakedPanic, dir)
+// fixtureDecls indexes the function declarations of every Go file in
+// dir, test files included.
+func fixtureDecls(dir string) (map[string]declSpan, error) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if len(diags) != 0 {
-		t.Errorf("test file findings leaked: %v", diags)
-	}
-}
-
-// TestHotPathsClean is the gate `make lint` enforces in CI: the
-// simulator and register-stack packages carry no naked panics.
-func TestHotPathsClean(t *testing.T) {
-	for _, dir := range []string{"../sim", "../cars"} {
-		diags, err := RunDir(NoNakedPanic, dir)
+	fset := token.NewFileSet()
+	spans := map[string]declSpan{}
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, 0)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
-		for _, d := range diags {
-			t.Errorf("%s", d)
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			name := fd.Name.Name
+			if fd.Recv != nil {
+				typ := fd.Recv.List[0].Type
+				if star, ok := typ.(*ast.StarExpr); ok {
+					typ = star.X
+				}
+				name = typ.(*ast.Ident).Name + "." + name
+			}
+			spans[name] = declSpan{e.Name(), fset.Position(fd.Pos()).Line, fset.Position(fd.End()).Line}
 		}
 	}
+	return spans, nil
 }

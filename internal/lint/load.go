@@ -1,11 +1,11 @@
-// Module loading for the carsguard analyzer suite (ctxflow, goleak,
-// lockheld, atomicmix, metriclabels). Unlike the legacy single-file
-// analyzers, the guard analyzers are type-aware and whole-module: they
-// need resolved types to tell a context.Context parameter from any
-// other ctx-named value, and a cross-package call graph to decide
-// reachability from the serving roots. Both come from the standard
-// library alone — go/parser + go/types with the source importer — so
-// the module stays dependency-free.
+// Module loading for the analyzers. Every check is type-aware: it
+// needs resolved types to tell a context.Context parameter from any
+// other ctx-named value, the panic builtin from a local named panic,
+// or a cars.Backend constant from its namesake, and the concurrency
+// checks need a cross-package call graph to decide reachability from
+// the serving roots. Both come from the standard library alone —
+// go/parser + go/types with the source importer — so the module stays
+// dependency-free.
 package lint
 
 import (
@@ -34,15 +34,17 @@ type Package struct {
 	Info  *types.Info
 }
 
-// Module is the analysis unit the guard analyzers run over: every
-// package of the repo (or a fixture subset), sharing one FileSet and
-// one importer, plus the call-graph facts built from them.
+// Module is the analysis unit the analyzers run over: every package
+// of the repo (or one fixture package), sharing one FileSet and one
+// importer.
 type Module struct {
 	Root string // module root directory
+	Path string // module path from go.mod ("carsgo")
 	Fset *token.FileSet
 	Pkgs []*Package
 
-	imp types.ImporterFrom
+	imp  types.ImporterFrom
+	deps map[string]*types.Package // importer copies by path, built on first lookup
 }
 
 // FindModuleRoot walks up from dir to the directory holding go.mod.
@@ -81,11 +83,15 @@ func modulePath(root string) (string, error) {
 // importer type-checks imports (stdlib and in-module alike) from
 // source and caches them, so every package added to the module
 // resolves against one consistent set of dependency exports.
-func newModule(root string) *Module {
+func newModule(root string) (*Module, error) {
+	path, err := modulePath(root)
+	if err != nil {
+		return nil, err
+	}
 	fset := token.NewFileSet()
-	m := &Module{Root: root, Fset: fset}
+	m := &Module{Root: root, Path: path, Fset: fset}
 	m.imp = importer.ForCompiler(fset, "source", nil).(types.ImporterFrom)
-	return m
+	return m, nil
 }
 
 // LoadModule parses and type-checks every package of the module at
@@ -97,11 +103,10 @@ func LoadModule(root string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	modPath, err := modulePath(root)
+	m, err := newModule(root)
 	if err != nil {
 		return nil, err
 	}
-	m := newModule(root)
 	var dirs []string
 	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
@@ -124,9 +129,9 @@ func LoadModule(root string) (*Module, error) {
 	sort.Strings(dirs)
 	for _, dir := range dirs {
 		rel, _ := filepath.Rel(root, dir)
-		path := modPath
+		path := m.Path
 		if rel != "." {
-			path = modPath + "/" + filepath.ToSlash(rel)
+			path = m.Path + "/" + filepath.ToSlash(rel)
 		}
 		if err := m.loadDir(dir, path); err != nil {
 			return nil, err
@@ -143,7 +148,10 @@ func LoadFixture(root, dir, syntheticPath string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	m := newModule(root)
+	m, err := newModule(root)
+	if err != nil {
+		return nil, err
+	}
 	if err := m.loadDir(dir, syntheticPath); err != nil {
 		return nil, err
 	}
@@ -194,12 +202,34 @@ func (m *Module) loadDir(dir, path string) error {
 	return nil
 }
 
-// pkgByPath returns the loaded package with the given import path.
-func (m *Module) pkgByPath(path string) *Package {
-	for _, p := range m.Pkgs {
-		if p.Path == path {
-			return p
+// lookup resolves the package-level object name of the in-module
+// package at rel ("internal/sim") the way pkg's type information refers
+// to it: pkg's own declaration when pkg is that package, otherwise the
+// shared importer's copy that every loaded package was checked
+// against. It is nil when nothing loaded imports the package, in which
+// case no code under analysis can use the object either.
+func (m *Module) lookup(pkg *Package, rel, name string) types.Object {
+	path := m.Path + "/" + rel
+	if pkg.Path == path {
+		return pkg.Types.Scope().Lookup(name)
+	}
+	if m.deps == nil {
+		m.deps = map[string]*types.Package{}
+		var walk func(*types.Package)
+		walk = func(p *types.Package) {
+			for _, imp := range p.Imports() {
+				if m.deps[imp.Path()] == nil {
+					m.deps[imp.Path()] = imp
+					walk(imp)
+				}
+			}
 		}
+		for _, p := range m.Pkgs {
+			walk(p.Types)
+		}
+	}
+	if dep := m.deps[path]; dep != nil {
+		return dep.Scope().Lookup(name)
 	}
 	return nil
 }

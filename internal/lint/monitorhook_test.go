@@ -1,113 +1,14 @@
 package lint
 
-import (
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"os"
-	"path/filepath"
-	"testing"
-)
-
-func runHookSrc(t *testing.T, src string) []Diagnostic {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "x.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diags, err := RunFiles(UnusedMonitorHook, []string{path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return diags
-}
+import "testing"
 
 func TestUnusedMonitorHook(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want int
-	}{
-		{
-			name: "empty hook flagged",
-			src:  "package p\ntype M struct{}\nfunc (M) WarpExit(gwid int) {}\n",
-			want: 1,
-		},
-		{
-			name: "consuming hook clean",
-			src:  "package p\ntype M struct{ n int }\nfunc (m *M) WarpExit(gwid int) { m.n++ }\n",
-			want: 0,
-		},
-		{
-			name: "documented no-op clean",
-			src:  "package p\ntype M struct{}\nfunc (M) WarpExit(gwid int) {\n\t// Exits carry no state this monitor tracks.\n}\n",
-			want: 0,
-		},
-		{
-			name: "non-hook empty method clean",
-			src:  "package p\ntype M struct{}\nfunc (M) Flush() {}\n",
-			want: 0,
-		},
-		{
-			name: "free function with hook name clean",
-			src:  "package p\nfunc WarpExit(gwid int) {}\n",
-			want: 0,
-		},
-		{
-			name: "several empty hooks all flagged",
-			src: "package p\ntype M struct{}\n" +
-				"func (M) CallEnd(gwid, rfp, rsp int) {}\n" +
-				"func (M) BlockRetire(sm, blockID int) {}\n",
-			want: 2,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			diags := runHookSrc(t, tc.src)
-			if len(diags) != tc.want {
-				t.Fatalf("got %d diagnostics, want %d: %v", len(diags), tc.want, diags)
-			}
-		})
-	}
-}
-
-// TestMonitorHookSetCurrent locks the analyzer's hook-name table to
-// the sim.Monitor interface: adding a hook to the interface without
-// teaching the analyzer (or vice versa) is a failure here.
-func TestMonitorHookSetCurrent(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, filepath.Join("..", "sim", "monitor.go"), nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	declared := map[string]bool{}
-	ast.Inspect(f, func(n ast.Node) bool {
-		ts, ok := n.(*ast.TypeSpec)
-		if !ok || ts.Name.Name != "Monitor" {
-			return true
-		}
-		it, ok := ts.Type.(*ast.InterfaceType)
-		if !ok {
-			return true
-		}
-		for _, m := range it.Methods.List {
-			for _, name := range m.Names {
-				declared[name.Name] = true
-			}
-		}
-		return false
+	runCases(t, UnusedMonitorHook, []fixtureCase{
+		{"empty hook flagged", []string{"emptyHook.WarpExit"}, 1},
+		{"consuming hook clean", []string{"counting.WarpExit"}, 0},
+		{"documented no-op clean", []string{"documented.WarpExit"}, 0},
+		{"non-hook empty method clean", []string{"emptyHook.Flush"}, 0},
+		{"free function with hook name clean", []string{"WarpExit"}, 0},
+		{"several empty hooks all flagged", []string{"several.CallEnd", "several.BlockRetire"}, 2},
 	})
-	if len(declared) == 0 {
-		t.Fatal("sim.Monitor interface not found")
-	}
-	for name := range declared {
-		if !monitorHooks[name] {
-			t.Errorf("sim.Monitor method %s missing from monitorHooks", name)
-		}
-	}
-	for name := range monitorHooks {
-		if !declared[name] {
-			t.Errorf("monitorHooks lists %s which sim.Monitor no longer declares", name)
-		}
-	}
 }

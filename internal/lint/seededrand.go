@@ -1,136 +1,104 @@
 package lint
 
 import (
-	"fmt"
 	"go/ast"
-	"strconv"
+	"go/types"
+	"strings"
 )
 
-// SeededRand defends the repo's reproducibility contract: every random
-// stream feeding spec generation, fuzzing, or simulation must come
-// from an explicitly seeded source, so a seed printed in a failure
-// report replays the exact run. Three shapes are findings:
+// SeededRand defends the repo's reproducibility contract in the
+// packages the fuzzer and the load generator depend on: every random
+// stream feeding spec generation, fuzzing, load or simulation must
+// come from an explicitly seeded source, so a seed printed in a
+// failure report replays the exact run. Calls are resolved to the
+// functions of math/rand and math/rand/v2, however the package is
+// imported or shadowed. Three shapes are findings:
 //
-//   - calls through math/rand's global source (rand.Intn, rand.Int63,
-//     rand.Perm, rand.Shuffle, ...) — the seed is invisible at the
+//   - calls through the package-global source (rand.Intn, rand.Int63,
+//     rand.Perm, rand.Shuffle, ... — every package-level function but
+//     the New* constructors and Seed): the seed is invisible at the
 //     call site and, since Go 1.20, random per process;
 //   - rand.New with anything but rand.NewSource(seed) — a custom
 //     Source hides where its entropy came from;
-//   - a seed expression that mentions time.Now — explicitly wired-in
+//   - a seed expression that calls time.Now — explicitly wired-in
 //     wall-clock nondeterminism (rand.Seed(time.Now().UnixNano()),
 //     rand.NewSource(time.Now().UnixNano())).
 //
 // A literal or named seed argument is fine: determinism, not secrecy,
-// is the property under defense. Test files are exempt (RunDir skips
-// them), and packages that avoid math/rand entirely — internal/spec's
-// splitmix64 — never trip it.
+// is the property under defense. Packages that avoid math/rand
+// entirely — internal/spec's splitmix64 — never trip it.
 var SeededRand = &Analyzer{
 	Name: "seededrand",
 	Doc:  "require explicitly seeded random sources; forbid math/rand's global source and time-derived seeds",
-	Run:  runSeededRand,
+	Pkgs: []string{
+		"internal/spec", "internal/workloads", "internal/sim", "internal/experiments",
+		"internal/load", "cmd/carsfuzz", "cmd/carsbench",
+	},
+	Run: runSeededRand,
 }
 
-// randImportName returns the local identifier math/rand (or v2) is
-// imported under in file, or "" when it is not imported.
-func randImportName(file *ast.File) string {
-	for _, imp := range file.Imports {
-		path, err := strconv.Unquote(imp.Path.Value)
-		if err != nil || (path != "math/rand" && path != "math/rand/v2") {
-			continue
+func runSeededRand(p *Pass) error {
+	for _, pkg := range p.Mod.Pkgs {
+		info := pkg.Info
+		for _, file := range pkg.Files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				fn := randFunc(info, call)
+				if fn == nil {
+					return true
+				}
+				switch name := fn.Name(); {
+				case name == "Seed":
+					if len(call.Args) == 1 && callsTimeNow(info, call.Args[0]) {
+						p.report(call.Pos(), "rand.Seed from time.Now is nondeterministic; derive the seed from configuration so runs replay")
+					}
+				case name == "New":
+					if len(call.Args) != 1 {
+						return true
+					}
+					src, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr)
+					if !ok || randFunc(info, src) == nil || randFunc(info, src).Name() != "NewSource" {
+						p.report(call.Pos(), "rand.New needs a visible seed: pass rand.NewSource(seed) directly, not a pre-built Source")
+					} else if len(src.Args) == 1 && callsTimeNow(info, src.Args[0]) {
+						p.report(call.Pos(), "rand.NewSource from time.Now is nondeterministic; derive the seed from configuration so runs replay")
+					}
+				case !strings.HasPrefix(name, "New"):
+					p.report(call.Pos(), "rand.%s draws from the package-global source; build an explicitly seeded rand.New(rand.NewSource(seed)) and thread it through", name)
+				}
+				return true
+			})
 		}
-		if imp.Name != nil {
-			if imp.Name.Name == "_" || imp.Name.Name == "." {
-				return "" // nothing selectable to check
-			}
-			return imp.Name.Name
-		}
-		return "rand"
 	}
-	return ""
+	return nil
 }
 
-// globalSourceFns are the top-level math/rand functions that draw from
-// the package-global source.
-var globalSourceFns = map[string]bool{
-	"Int": true, "Intn": true, "Int31": true, "Int31n": true,
-	"Int63": true, "Int63n": true, "Uint32": true, "Uint64": true,
-	"Float32": true, "Float64": true, "NormFloat64": true,
-	"ExpFloat64": true, "Perm": true, "Shuffle": true, "Read": true,
-	// v2 spellings.
-	"IntN": true, "Int32": true, "Int32N": true, "Int64": true,
-	"Int64N": true, "UintN": true, "Uint32N": true, "Uint64N": true,
-	"N": true,
+// randFunc resolves a call to a package-level function of math/rand or
+// math/rand/v2, or nil (methods on a *rand.Rand are seeded already).
+func randFunc(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn := CalleeOf(info, call)
+	if fn == nil || fn.Pkg() == nil || fn.Type().(*types.Signature).Recv() != nil {
+		return nil
+	}
+	if path := fn.Pkg().Path(); path != "math/rand" && path != "math/rand/v2" {
+		return nil
+	}
+	return fn
 }
 
-// mentionsTimeNow reports whether the expression contains a
-// time.Now call (the canonical nondeterministic seed).
-func mentionsTimeNow(e ast.Expr) bool {
+// callsTimeNow reports whether the expression refers to time.Now (the
+// canonical nondeterministic seed).
+func callsTimeNow(info *types.Info, e ast.Expr) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		if sel, ok := n.(*ast.SelectorExpr); ok {
-			if id, ok := sel.X.(*ast.Ident); ok && id.Name == "time" && sel.Sel.Name == "Now" {
+		if id, ok := n.(*ast.Ident); ok {
+			if f, ok := info.Uses[id].(*types.Func); ok && f.Pkg() != nil && f.Pkg().Path() == "time" && f.Name() == "Now" {
 				found = true
 			}
 		}
 		return !found
 	})
 	return found
-}
-
-func runSeededRand(pass *Pass) error {
-	for _, file := range pass.Files {
-		randName := randImportName(file)
-		if randName == "" {
-			continue
-		}
-		isRandSel := func(e ast.Expr, fn string) bool {
-			sel, ok := e.(*ast.SelectorExpr)
-			if !ok {
-				return false
-			}
-			id, ok := sel.X.(*ast.Ident)
-			// Obj == nil keeps shadowed locals named like the import
-			// (e.g. a parameter `rand`) from matching.
-			return ok && id.Name == randName && id.Obj == nil && (fn == "" || sel.Sel.Name == fn)
-		}
-		report := func(n ast.Node, format string, args ...any) {
-			pass.Report(Diagnostic{
-				Pos:     pass.Fset.Position(n.Pos()),
-				Message: fmt.Sprintf(format, args...),
-			})
-		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			sel, ok := call.Fun.(*ast.SelectorExpr)
-			if !ok || !isRandSel(call.Fun, "") {
-				return true
-			}
-			fn := sel.Sel.Name
-			switch {
-			case globalSourceFns[fn]:
-				report(call, "%s.%s draws from the package-global source; build an explicitly seeded %s.New(%s.NewSource(seed)) and thread it through", randName, fn, randName, randName)
-			case fn == "Seed":
-				if len(call.Args) == 1 && mentionsTimeNow(call.Args[0]) {
-					report(call, "%s.Seed from time.Now is nondeterministic; derive the seed from configuration so runs replay", randName)
-				}
-			case fn == "New":
-				if len(call.Args) != 1 {
-					return true
-				}
-				src, ok := call.Args[0].(*ast.CallExpr)
-				if !ok || !isRandSel(src.Fun, "NewSource") {
-					report(call, "%s.New needs a visible seed: pass %s.NewSource(seed) directly, not a pre-built Source", randName, randName)
-					return true
-				}
-				if len(src.Args) == 1 && mentionsTimeNow(src.Args[0]) {
-					report(call, "%s.NewSource from time.Now is nondeterministic; derive the seed from configuration so runs replay", randName)
-				}
-			}
-			return true
-		})
-	}
-	return nil
 }

@@ -1,102 +1,21 @@
 package lint
 
-import (
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
-
-func runSeededRandSrc(t *testing.T, src string) []Diagnostic {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "x.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diags, err := RunFiles(SeededRand, []string{path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return diags
-}
+import "testing"
 
 func TestSeededRand(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want int
-	}{
-		{
-			name: "global Intn flagged",
-			src:  "package p\nimport \"math/rand\"\nfunc f() int { return rand.Intn(10) }\n",
-			want: 1,
-		},
-		{
-			name: "global Shuffle and Float64 both flagged",
-			src:  "package p\nimport \"math/rand\"\nfunc f(xs []int) float64 {\n\trand.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })\n\treturn rand.Float64()\n}\n",
-			want: 2,
-		},
-		{
-			name: "explicitly seeded New(NewSource(literal)) allowed",
-			src:  "package p\nimport \"math/rand\"\nfunc f() int { r := rand.New(rand.NewSource(1)); return r.Intn(10) }\n",
-			want: 0,
-		},
-		{
-			name: "seed from named parameter allowed",
-			src:  "package p\nimport \"math/rand\"\nfunc f(seed int64) int { r := rand.New(rand.NewSource(seed)); return r.Intn(10) }\n",
-			want: 0,
-		},
-		{
-			name: "NewSource(time.Now) flagged",
-			src:  "package p\nimport (\n\t\"math/rand\"\n\t\"time\"\n)\nfunc f() int { r := rand.New(rand.NewSource(time.Now().UnixNano())); return r.Intn(10) }\n",
-			want: 1,
-		},
-		{
-			name: "Seed(time.Now) flagged",
-			src:  "package p\nimport (\n\t\"math/rand\"\n\t\"time\"\n)\nfunc f() { rand.Seed(time.Now().UnixNano()) }\n",
-			want: 1,
-		},
-		{
-			name: "Seed from constant allowed",
-			src:  "package p\nimport \"math/rand\"\nfunc f() { rand.Seed(42) }\n",
-			want: 0,
-		},
-		{
-			name: "New with opaque source flagged",
-			src:  "package p\nimport \"math/rand\"\nfunc f(src rand.Source) int { r := rand.New(src) ; return r.Intn(10) }\n",
-			want: 1,
-		},
-		{
-			name: "aliased import still caught",
-			src:  "package p\nimport mrand \"math/rand\"\nfunc f() int { return mrand.Intn(10) }\n",
-			want: 1,
-		},
-		{
-			name: "methods on a seeded generator allowed",
-			src:  "package p\nimport \"math/rand\"\nfunc f(r *rand.Rand) int { return r.Intn(10) }\n",
-			want: 0,
-		},
-		{
-			name: "shadowing local named rand not confused",
-			src:  "package p\ntype fake struct{}\nfunc (fake) Intn(int) int { return 0 }\nfunc f() int { rand := fake{}; return rand.Intn(10) }\n",
-			want: 0,
-		},
-		{
-			name: "no math/rand import ignored",
-			src:  "package p\nimport \"strings\"\nfunc f() string { return strings.ToUpper(\"x\") }\n",
-			want: 0,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			diags := runSeededRandSrc(t, tc.src)
-			if len(diags) != tc.want {
-				var got []string
-				for _, d := range diags {
-					got = append(got, d.String())
-				}
-				t.Fatalf("want %d finding(s), got %d:\n%s", tc.want, len(diags), strings.Join(got, "\n"))
-			}
-		})
-	}
+	runCases(t, SeededRand, []fixtureCase{
+		{"global Intn flagged", []string{"globalIntn"}, 1},
+		{"global Shuffle and Float64 both flagged", []string{"globalShuffleAndFloat64"}, 2},
+		{"explicitly seeded New(NewSource(literal)) allowed", []string{"seededLiteral"}, 0},
+		{"seed from named parameter allowed", []string{"seededParam"}, 0},
+		{"NewSource(time.Now) flagged", []string{"timeSource"}, 1},
+		{"Seed(time.Now) flagged", []string{"timeSeed"}, 1},
+		{"Seed from constant allowed", []string{"constantSeed"}, 0},
+		{"New with opaque source flagged", []string{"opaqueSource"}, 1},
+		{"aliased import still caught", []string{"aliasedIntn"}, 1},
+		{"methods on a seeded generator allowed", []string{"seededMethods"}, 0},
+		{"shadowing local named rand not confused", []string{"fake.Intn", "shadowedRand"}, 0},
+		{"no math/rand import ignored", []string{"noRandImport"}, 0},
+		{"math/rand/v2 global and New caught", []string{"globalIntNV2", "seededPCG"}, 2},
+	})
 }

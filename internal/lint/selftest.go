@@ -1,8 +1,11 @@
-// Selftest: every guard analyzer must fire on its planted-violation
-// fixture, and must stay silent on the clean twins planted beside the
+// Selftest: every analyzer must fire on its planted-violation fixture,
+// and must stay silent on the clean twins planted beside the
 // violations. Fixtures live in internal/lint/testdata/src/<analyzer>,
 // one package each, with `// want "substring"` markers on the lines
-// that must produce a diagnostic. The contract is exact in both
+// that must produce a diagnostic. A fixture may import in-module
+// packages (sim, cars, abi, jobq) so the analyzers resolve the real
+// objects they check; its _test.go files are never loaded, which is
+// how a fixture pins the test-file exemption. The contract is exact in both
 // directions — a marker with no diagnostic means the analyzer lost its
 // teeth (the carsfuzz vetweaken discipline), and a diagnostic with no
 // marker is a false positive on code the fixture declares clean.
@@ -21,8 +24,6 @@ import (
 // SelfTestResult is one analyzer's verdict against its fixture.
 type SelfTestResult struct {
 	Analyzer   string
-	Dir        string
-	Findings   []Diagnostic
 	Wanted     int      // planted violations in the fixture
 	Missing    []string // want markers no diagnostic matched
 	Unexpected []string // diagnostics no want marker matched
@@ -38,36 +39,29 @@ func (r SelfTestResult) OK() bool {
 // to the module root.
 const FixtureDir = "internal/lint/testdata/src"
 
-// SelfTest runs every guard analyzer against its fixture package.
+// SelfTest runs every analyzer against its fixture package.
 func SelfTest(moduleRoot string) ([]SelfTestResult, error) {
 	root, err := FindModuleRoot(moduleRoot)
 	if err != nil {
 		return nil, err
 	}
 	var results []SelfTestResult
-	for _, g := range Guards {
-		r, err := selfTestOne(root, g)
+	for _, a := range Analyzers {
+		r, err := selfTestOne(root, a)
 		if err != nil {
-			return nil, fmt.Errorf("selftest %s: %w", g.Name, err)
+			return nil, fmt.Errorf("selftest %s: %w", a.Name, err)
 		}
 		results = append(results, r)
 	}
 	return results, nil
 }
 
-func selfTestOne(root string, g *GuardAnalyzer) (SelfTestResult, error) {
-	dir := filepath.Join(root, filepath.FromSlash(FixtureDir), g.Name)
-	res := SelfTestResult{Analyzer: g.Name, Dir: dir}
-	mod, err := LoadFixture(root, dir, "carsguardfixture/"+g.Name)
+func selfTestOne(root string, a *Analyzer) (SelfTestResult, error) {
+	res := SelfTestResult{Analyzer: a.Name}
+	dir, diags, err := runFixture(root, a)
 	if err != nil {
 		return res, err
 	}
-	diags, err := RunGuard(g, mod, BuildFacts(mod))
-	if err != nil {
-		return res, err
-	}
-	res.Findings = diags
-
 	wants, err := parseWants(dir)
 	if err != nil {
 		return res, err
@@ -99,6 +93,18 @@ func selfTestOne(root string, g *GuardAnalyzer) (SelfTestResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// runFixture loads a's fixture package and runs a over all of it: the
+// fixture exists to exercise a, so a.Pkgs does not scope it.
+func runFixture(root string, a *Analyzer) (string, []Diagnostic, error) {
+	dir := filepath.Join(root, filepath.FromSlash(FixtureDir), a.Name)
+	mod, err := LoadFixture(root, dir, "lintfixture/"+a.Name)
+	if err != nil {
+		return dir, nil, err
+	}
+	diags, err := run(a, mod, BuildFacts(mod))
+	return dir, diags, err
 }
 
 // want is one planted-violation marker.

@@ -36,7 +36,7 @@ func SimulateContext(ctx context.Context) error { return ctx.Err() }
 
 func handleSimulate(ctx context.Context) error {
 	_ = ctx
-	return Simulate() // want "ctxflow: call carsguardfixture/ctxflow.SimulateContext instead"
+	return Simulate() // want "ctxflow: call lintfixture/ctxflow.SimulateContext instead"
 }
 
 // handleCollect blocks on a bare receive with no context to bound it.

@@ -1,118 +1,21 @@
 package lint
 
-import (
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
-
-// runErrSrc writes one source file and applies UncheckedSimError.
-func runErrSrc(t *testing.T, src string) []Diagnostic {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "x.go")
-	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diags, err := RunFiles(UncheckedSimError, []string{path})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return diags
-}
+import "testing"
 
 func TestUncheckedSimError(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want int
-	}{
-		{
-			name: "bare Run statement flagged",
-			src:  "package p\nfunc f() { g.Run(l) }\n",
-			want: 1,
-		},
-		{
-			name: "blank error flagged",
-			src:  "package p\nfunc f() { res, _ := g.Run(l); _ = res }\n",
-			want: 1,
-		},
-		{
-			name: "bare Link statement flagged",
-			src:  "package p\nfunc f() { abi.Link(mode, m) }\n",
-			want: 1,
-		},
-		{
-			name: "blank LinkStrict error flagged",
-			src:  "package p\nfunc f() { prog, _ := abi.LinkStrict(mode, m); _ = prog }\n",
-			want: 1,
-		},
-		{
-			name: "go statement flagged",
-			src:  "package p\nfunc f() { go g.Run(l) }\n",
-			want: 1,
-		},
-		{
-			name: "defer statement flagged",
-			src:  "package p\nfunc f() { defer g.Run(l) }\n",
-			want: 1,
-		},
-		{
-			name: "consumed error allowed",
-			src:  "package p\nfunc f() error { _, err := g.Run(l); return err }\n",
-			want: 0,
-		},
-		{
-			name: "error returned directly allowed",
-			src:  "package p\nfunc f() (R, error) { return g.Run(l) }\n",
-			want: 0,
-		},
-		{
-			name: "blank non-error position allowed",
-			src:  "package p\nfunc f() error { _, err := g.Run(l); return err }\n",
-			want: 0,
-		},
-		{
-			name: "unrelated method untouched",
-			src:  "package p\nfunc f() { g.Render(l) }\n",
-			want: 0,
-		},
-		{
-			name: "plain function named Run untouched",
-			src:  "package p\nfunc f() { Run(l) }\n",
-			want: 0,
-		},
-		{
-			name: "two discards two findings",
-			src:  "package p\nfunc f() { g.Run(a); g.Run(b) }\n",
-			want: 2,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			diags := runErrSrc(t, tc.src)
-			if len(diags) != tc.want {
-				t.Errorf("got %d findings, want %d: %v", len(diags), tc.want, diags)
-			}
-			for _, d := range diags {
-				if !strings.Contains(d.String(), "error") {
-					t.Errorf("diagnostic text unexpected: %s", d)
-				}
-			}
-		})
-	}
-}
-
-// TestUncheckedSimErrorRepo keeps the non-test callers in the packages
-// that actually launch programs honest.
-func TestUncheckedSimErrorRepo(t *testing.T) {
-	for _, dir := range []string{"../san", "../workloads", "../../cmd/carsvet", "../../cmd/carsim"} {
-		diags, err := RunDir(UncheckedSimError, dir)
-		if err != nil {
-			t.Fatalf("%s: %v", dir, err)
-		}
-		for _, d := range diags {
-			t.Errorf("%s: %s", dir, d)
-		}
-	}
+	runCases(t, UncheckedSimError, []fixtureCase{
+		{"bare Run statement flagged", []string{"bareRun"}, 1},
+		{"blank error flagged", []string{"blankRunError"}, 1},
+		{"bare Link statement flagged", []string{"bareLink"}, 1},
+		{"blank LinkStrict error flagged", []string{"blankLinkStrictError"}, 1},
+		{"go statement flagged", []string{"goRun"}, 1},
+		{"defer statement flagged", []string{"deferRun"}, 1},
+		{"consumed error allowed", []string{"consumedError"}, 0},
+		{"error returned directly allowed", []string{"returnedError"}, 0},
+		{"blank non-error position allowed", []string{"blankNonErrorPosition"}, 0},
+		{"unrelated method untouched", []string{"unrelatedMethod"}, 0},
+		{"plain function named Run untouched", []string{"plainRun"}, 0},
+		{"two discards two findings", []string{"twoDiscards"}, 2},
+		{"other type's Run untouched", []string{"otherTypesRun"}, 0},
+	})
 }

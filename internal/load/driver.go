@@ -158,6 +158,12 @@ func runClosedStage(ctx context.Context, st Stage, src Source, target Target) St
 // and counted as Dropped). Open loop is the honest overload probe:
 // when the daemon slows down, the offered rate does not — queues and
 // 429s, not a politely self-throttling client, absorb the difference.
+//
+// Request i is due at start + i/Rate, and its latency runs from that
+// due time. When the loop falls behind (a stall in the client or an
+// in-process target starving it of CPU), it sends the overdue
+// requests at once, each charged the wait since it was due, so the
+// stage still offers every request its schedule holds.
 func RunOpen(ctx context.Context, stages []Stage, src Source, target Target) []StageResult {
 	results := make([]StageResult, 0, len(stages))
 	for _, st := range stages {
@@ -181,45 +187,45 @@ func runOpenStage(ctx context.Context, st Stage, src Source, target Target) Stag
 	sctx, cancel := stageContext(ctx, st)
 	defer cancel()
 
-	interval := time.Second / time.Duration(st.Rate)
-	if interval <= 0 {
-		interval = time.Nanosecond
-	}
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
 	inflight := make(chan struct{}, st.MaxInFlight)
 	var wg sync.WaitGroup
-	launched := 0
+	wait := time.NewTimer(time.Hour)
+	defer wait.Stop()
 	start := time.Now()
 loop:
-	for {
-		select {
-		case <-sctx.Done():
-			break loop
-		case <-ticker.C:
-			if st.Requests > 0 && launched+res.Dropped >= st.Requests {
-				break loop
-			}
-			select {
-			case inflight <- struct{}{}:
-			default:
-				rc.mu.Lock()
-				res.Dropped++
-				res.Sent++
-				rc.mu.Unlock()
-				continue
-			}
-			launched++
-			req := src.Next()
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-inflight }()
-				t0 := time.Now()
-				out := target(sctx, req)
-				rc.observe(req, out, time.Since(t0))
-			}()
+	for i := int64(0); st.Requests <= 0 || i < int64(st.Requests); i++ {
+		offset := time.Duration(i * int64(time.Second) / int64(st.Rate))
+		if st.Duration > 0 && offset >= st.Duration {
+			break
 		}
+		due := start.Add(offset)
+		if d := time.Until(due); d > 0 {
+			wait.Reset(d)
+			select {
+			case <-ctx.Done():
+				break loop
+			case <-wait.C:
+			}
+		} else if ctx.Err() != nil {
+			break
+		}
+		select {
+		case inflight <- struct{}{}:
+		default:
+			rc.mu.Lock()
+			res.Dropped++
+			res.Sent++
+			rc.mu.Unlock()
+			continue
+		}
+		req := src.Next()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-inflight }()
+			out := target(sctx, req)
+			rc.observe(req, out, time.Since(due))
+		}()
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)

@@ -3,6 +3,7 @@ package load
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -155,6 +156,38 @@ func nonOKCodes(r StageResult) int {
 		}
 	}
 	return n
+}
+
+// TestRunOpenChargesStalls runs the open loop on one CPU against a
+// target whose first request burns that CPU for most of the stage, so
+// the loop itself falls behind. The stage must still send every
+// request its schedule holds, and the requests that came due during
+// the stall must be charged the wait since their due time.
+func TestRunOpenChargesStalls(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	src, err := Model{Seed: 7, Keys: 2}.Stream()
+	if err != nil {
+		t.Fatalf("Stream: %v", err)
+	}
+	const stall = 60 * time.Millisecond
+	var calls atomic.Int64
+	target := func(ctx context.Context, req Request) Outcome {
+		if calls.Add(1) == 1 {
+			for t0 := time.Now(); time.Since(t0) < stall; {
+			}
+		}
+		return Outcome{Code: 200}
+	}
+	res := RunOpen(context.Background(),
+		[]Stage{{Rate: 1000, Duration: 100 * time.Millisecond}}, src, target)[0]
+	if res.Sent != 100 || res.OK != 100 {
+		t.Fatalf("Sent %d, OK %d: want all 100 requests due in 100ms at 1000/s", res.Sent, res.OK)
+	}
+	// More than half the requests came due while the first one held
+	// the CPU; timed from launch they would all read microseconds.
+	if p50 := res.Hist.Quantile(0.5); p50 < time.Millisecond {
+		t.Errorf("p50 %v: the requests queued behind the stall were not charged for it", p50)
+	}
 }
 
 func TestRunOpenCompletes(t *testing.T) {

@@ -16,7 +16,8 @@ import (
 // atomic (no lock, safe under any driver concurrency), and quantiles
 // are rank-exact over the recorded counts at that resolution: P(q) is
 // the bucket holding the ⌈q·count⌉-th smallest sample, reported as the
-// bucket's upper edge so estimates never understate.
+// bucket's upper edge (clamped to the observed max) so estimates never
+// understate and never exceed a sample that was actually seen.
 type Hist struct {
 	counts [histBuckets]atomic.Uint64
 	count  atomic.Uint64
@@ -103,7 +104,8 @@ func (h *Hist) Merge(other *Hist) {
 
 // Quantile returns the latency at quantile q ∈ [0,1]: the bucket upper
 // edge of the ⌈q·count⌉-th smallest sample (q=0 → first sample's
-// bucket). Zero when the recorder is empty.
+// bucket), clamped to the observed max. Zero when the recorder is
+// empty.
 func (h *Hist) Quantile(q float64) time.Duration {
 	total := h.count.Load()
 	if total == 0 {
@@ -116,14 +118,15 @@ func (h *Hist) Quantile(q float64) time.Duration {
 	if rank > total {
 		rank = total
 	}
+	maxNs := h.maxNs.Load()
 	var seen uint64
 	for i := range h.counts {
 		seen += h.counts[i].Load()
 		if seen >= rank {
-			return time.Duration(bucketMax(i))
+			return time.Duration(min(bucketMax(i), maxNs))
 		}
 	}
-	return time.Duration(h.maxNs.Load())
+	return time.Duration(maxNs)
 }
 
 // Summary is the recorder's headline numbers, ready for a report.

@@ -92,6 +92,29 @@ func TestQuantileVsBruteForce(t *testing.T) {
 	}
 }
 
+// TestQuantileClampedToMax: the top sample's bucket edge lies above
+// the sample itself, so an unclamped p999 would report a latency
+// nothing ever took.
+func TestQuantileClampedToMax(t *testing.T) {
+	var h Hist
+	for i := 0; i < 99; i++ {
+		h.Observe(time.Millisecond)
+	}
+	top := 126_240 * time.Microsecond
+	h.Observe(top)
+	if edge := time.Duration(bucketMax(bucketOf(uint64(top)))); edge <= top {
+		t.Fatalf("sample set does not exercise the clamp: bucket edge %v <= max %v", edge, top)
+	}
+	for _, q := range []float64{0.999, 1} {
+		if got := h.Quantile(q); got != top {
+			t.Errorf("Quantile(%g) = %v, want the observed max %v", q, got, top)
+		}
+	}
+	if got, max := h.Quantile(0.5), h.Summarize().Max; got > max {
+		t.Errorf("p50 %v above max %v", got, max)
+	}
+}
+
 func TestHistEmptyAndNegative(t *testing.T) {
 	var h Hist
 	if h.Quantile(0.99) != 0 || h.Summarize().Count != 0 {

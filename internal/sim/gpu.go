@@ -19,10 +19,6 @@ const localWordsPerWarp = 16384
 // maxLaunchCycles guards against simulation deadlock.
 const maxLaunchCycles = int64(1) << 31
 
-// debugHang enables coarse progress prints (see SetDebugHang); it is a
-// diagnostic for runs that appear stuck.
-var debugHang = false
-
 // TraceSink receives one event per issued warp-instruction, in issue
 // order — the role NVBit's instrumentation plays for the paper (§V-A).
 // A nil sink costs one branch per instruction.
@@ -278,10 +274,6 @@ func (g *GPU) RunContext(ctx context.Context, launch isa.Launch) (st *stats.Kern
 					cycle, g.blocksDone, g.totalBlocks)
 			}
 		}
-		if debugHang && cycle%5_000_000 == 0 {
-			fmt.Printf("sim: progress cycle=%d blocks=%d/%d instrs=%d\n",
-				cycle, g.blocksDone, g.totalBlocks, g.kernelStats.TotalInstructions())
-		}
 		if cycle-start > maxLaunchCycles {
 			return nil, fmt.Errorf("sim: launch exceeded %d cycles", maxLaunchCycles)
 		}
@@ -421,9 +413,6 @@ func (s *SM) noteTraffic(now int64, class mem.AccessClass, sectors int) {
 		g.tlCur.LocalSectors += uint64(sectors)
 	}
 }
-
-// SetDebugHang toggles coarse progress printing (test diagnostics).
-func SetDebugHang(v bool) { debugHang = v }
 
 // Occupancy describes the per-SM residency a launch achieves under one
 // register allocation: the limiter-by-limiter block counts contemporary

@@ -141,13 +141,13 @@ func Generate(seed uint64) *Spec {
 	// Topology: every function gets one parent — the kernel or an
 	// earlier function — chosen zipf-skewed toward the nearest earlier
 	// declaration, so graphs lean chain-like (deep stacks) with the
-	// skew exponent varying per spec. Extra cross edges then densify
-	// the DAG.
+	// skew exponent varying per spec. A function whose chosen parent
+	// already makes maxDirectCalls calls hangs off the kernel instead. Extra cross edges then densify the DAG.
 	if nf > 0 {
 		a := r.pick(1, 2)
 		for i := 0; i < nf; i++ {
 			rank := r.zipf(i+1, a) // 0 → funcs[i-1], i → kernel
-			if i == 0 || rank == i {
+			if i == 0 || rank == i || len(s.Funcs[i-1-rank].Calls) == maxDirectCalls {
 				k.Calls = append(k.Calls, s.Funcs[i].Name)
 			} else {
 				p := &s.Funcs[i-1-rank]
@@ -156,7 +156,7 @@ func Generate(seed uint64) *Spec {
 		}
 		for i := 0; i < nf-1; i++ {
 			f := &s.Funcs[i]
-			if len(f.Calls) < 4 && r.chance(20) {
+			if len(f.Calls) < maxDirectCalls && r.chance(20) {
 				t := i + 1 + r.intn(nf-i-1)
 				name := s.Funcs[t].Name
 				dup := false

@@ -2,6 +2,8 @@ package spec_test
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"reflect"
 	"testing"
 
@@ -81,6 +83,43 @@ func TestGenerateValidAndDiverse(t *testing.T) {
 		if n == 0 {
 			t.Errorf("128 seeds produced no spec with %s — generator lost a structure class", what)
 		}
+	}
+}
+
+// TestGenerateNeverExceedsCallLimit: this seed once drew a fifth child
+// for funcs[0], and Generate panicked on its own invalid spec.
+func TestGenerateNeverExceedsCallLimit(t *testing.T) {
+	s := spec.Generate(0x63de9ef6d5fc3290)
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.Funcs[0].Calls); n != 4 {
+		t.Errorf("funcs[0] makes %d direct calls, want the limit of 4", n)
+	}
+}
+
+// TestGenerateSweep: seeds 0..19999 all yield valid specs, and every
+// seed that was already valid before the call-limit fix still gives
+// the same canonical bytes. The digest covers those seeds' Canon
+// output, newline-terminated, in seed order; the four seeds that
+// overflowed the limit then are left out of it.
+func TestGenerateSweep(t *testing.T) {
+	overflowed := map[uint64]bool{2812: true, 12709: true, 12887: true, 13443: true}
+	h := sha256.New()
+	for seed := uint64(0); seed < 20000; seed++ {
+		s := spec.Generate(seed)
+		if err := s.Validate(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if overflowed[seed] {
+			continue
+		}
+		h.Write([]byte(spec.Canon(s)))
+		h.Write([]byte{'\n'})
+	}
+	const want = "4dad3ffb590fc35609e896f9732d2a4af4c3c90ee8c8af69885b45264960c9d6"
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("Canon digest over seeds 0..19999 = %s, want %s", got, want)
 	}
 }
 

@@ -37,6 +37,9 @@ import (
 // writes. Parse rejects documents declaring any other version.
 const SchemaVersion = 1
 
+// maxDirectCalls bounds a function's direct call sites.
+const maxDirectCalls = 4
+
 // Patterns a spec kernel can use for its global-memory accesses; they
 // mirror the workload generator's pattern enum and place a spec in one
 // of the paper's Table II bottleneck classes.
@@ -253,8 +256,8 @@ func (s *Spec) Validate() error {
 				bad(path+".loop.loads", "must be in [0,4], got %d", l.Loads)
 			}
 		}
-		if len(f.Calls) > 4 {
-			bad(path+".calls", "at most 4 direct calls, got %d", len(f.Calls))
+		if len(f.Calls) > maxDirectCalls {
+			bad(path+".calls", "at most %d direct calls, got %d", maxDirectCalls, len(f.Calls))
 		}
 	}
 
