@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -38,17 +39,17 @@ func TestSelfTest(t *testing.T) {
 // loadTree loads the real module once for every test that needs it.
 var loadTree = sync.OnceValues(func() (*Module, error) { return LoadModule("../..") })
 
-// TestAnalyzersCleanOnTree runs all ten analyzers over the real
-// module, each scoped to its packages: the tree must stay clean, so
-// any finding here is a regression (or a new bug the analyzer just
-// caught — fix the code, not the test).
-func TestAnalyzersCleanOnTree(t *testing.T) {
+// cleanOnTree runs each analyzer over the real module, scoped to its
+// packages: the tree must stay clean, so any finding is a regression
+// (or a new bug the analyzer just caught — fix the code, not the test).
+func cleanOnTree(t *testing.T, analyzers ...*Analyzer) {
+	t.Helper()
 	mod, err := loadTree()
 	if err != nil {
 		t.Fatalf("load module: %v", err)
 	}
 	facts := BuildFacts(mod)
-	for _, a := range Analyzers {
+	for _, a := range analyzers {
 		diags, err := Run(a, mod, facts)
 		if err != nil {
 			t.Fatalf("%s: %v", a.Name, err)
@@ -57,6 +58,45 @@ func TestAnalyzersCleanOnTree(t *testing.T) {
 			t.Errorf("%s: %s", a.Name, d)
 		}
 	}
+}
+
+// requirePkgs fails unless a defends every one of want.
+func requirePkgs(t *testing.T, a *Analyzer, want ...string) {
+	t.Helper()
+	for _, w := range want {
+		if !slices.Contains(a.Pkgs, w) {
+			t.Errorf("%s no longer defends %s (Pkgs %v)", a.Name, w, a.Pkgs)
+		}
+	}
+}
+
+// TestHotPathsClean: the simulator and register-stack packages carry
+// no naked panics.
+func TestHotPathsClean(t *testing.T) {
+	requirePkgs(t, NoNakedPanic, "internal/sim", "internal/cars")
+	cleanOnTree(t, NoNakedPanic)
+}
+
+// TestUncheckedSimErrorRepo keeps the non-test callers in the packages
+// that actually launch programs honest.
+func TestUncheckedSimErrorRepo(t *testing.T) {
+	requirePkgs(t, UncheckedSimError, "internal/san", "internal/workloads", "cmd/carsvet", "cmd/carsim")
+	cleanOnTree(t, UncheckedSimError)
+}
+
+// TestGuardsCleanOnTree runs every other analyzer over the real
+// module, so the three tree tests together cover all of Analyzers.
+func TestGuardsCleanOnTree(t *testing.T) {
+	var rest []*Analyzer
+	for _, a := range Analyzers {
+		if a != NoNakedPanic && a != UncheckedSimError {
+			rest = append(rest, a)
+		}
+	}
+	if len(rest) != len(Analyzers)-2 {
+		t.Fatalf("Analyzers lost nonakedpanic or uncheckedsimerror: %d left of %d", len(rest), len(Analyzers))
+	}
+	cleanOnTree(t, rest...)
 }
 
 // TestFactsServeRoots pins the root set the reachability rules hang
